@@ -99,8 +99,9 @@ func BenchmarkSimEvents(b *testing.B) {
 }
 
 // BenchmarkSleepWake measures the single-proc sleep/wake fast path: with
-// the event freelist, proc-carrying wake events, and direct handoff, one op
-// is a heap push + pop with zero channel operations and zero allocations.
+// the event freelist, proc-carrying wake events, and the self-wake fast
+// path, one op is a heap push + pop with no coroutine switch and zero
+// allocations.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -115,9 +116,9 @@ func BenchmarkSleepWake(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures the cross-proc token handoff: two procs
-// alternating via a condition variable, so every wake transfers the run
-// token directly between procs instead of bouncing through the scheduler.
+// BenchmarkProcHandoff measures the cross-proc switch: two procs alternating
+// via a condition variable, so every op parks one proc and resumes the
+// other, each a coroutine switch to and from the drive loop.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()

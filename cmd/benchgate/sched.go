@@ -68,13 +68,14 @@ func measureSched(policy engine.Policy, cm *engine.CostModel, hinted bool) (time
 		engine.WithCostModel(cm),
 	)
 	rn.SetExperiment("sched")
+	var opts []engine.SweepOption
 	if hinted {
-		rn.SetCostHint(func(i int) float64 { return float64(durs[i]) })
+		opts = append(opts, engine.CostHint(func(i int) float64 { return float64(durs[i]) }))
 	}
 	_, err := rn.Map(context.Background(), len(durs), func(ctx context.Context, i int) (any, error) {
 		time.Sleep(durs[i])
 		return nil, nil
-	})
+	}, opts...)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -99,7 +99,7 @@ func sweepPoints(rn *engine.Runner, what string, cfg Config, sizes []int64,
 	r := engine.OrDefault(rn)
 	// Cold-cost heuristic for LPT dispatch: classic point cost scales with
 	// the message size.
-	r.SetCostHint(func(i int) float64 { return float64(sizes[i]) })
+	hint := engine.CostHint(func(i int) float64 { return float64(sizes[i]) })
 	vals, err := r.Map(context.Background(), len(sizes), func(ctx context.Context, i int) (any, error) {
 		size := sizes[i]
 		key, kerr := engine.Key(append([]any{what, cfg, size}, extra...)...)
@@ -123,7 +123,7 @@ func sweepPoints(rn *engine.Runner, what string, cfg Config, sizes []int64,
 			return nil, fmt.Errorf("%s: size %s: %w", what, FormatSize(size), err)
 		}
 		return Point{Size: size, Value: v}, nil
-	})
+	}, hint)
 	if err != nil {
 		return nil, err
 	}

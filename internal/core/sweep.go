@@ -69,20 +69,20 @@ func SweepPartitions(rn *engine.Runner, base Config, counts []int) ([]*Result, e
 // so LPT dispatch can front-load the expensive cells on a cold profile.
 func sweep(rn *engine.Runner, n int, cell func(i int) (Config, string)) ([]*Result, error) {
 	r := engine.OrDefault(rn)
-	r.SetCostHint(func(i int) float64 {
+	hint := engine.CostHint(func(i int) float64 {
 		cfg, _ := cell(i)
 		parts := cfg.Partitions
 		if parts < 1 {
 			parts = 1
 		}
-		hint := float64(cfg.MessageBytes) * float64(parts)
+		cost := float64(cfg.MessageBytes) * float64(parts)
 		if cfg.Adaptive != nil {
 			// An adaptive cell may draw up to MaxSamples iterations; scale
 			// the cold-profile hint by the worst case so LPT still
 			// front-loads the potentially expensive cells.
-			hint *= float64(cfg.Adaptive.MaxSamples)
+			cost *= float64(cfg.Adaptive.MaxSamples)
 		}
-		return hint
+		return cost
 	})
 	results, err := r.Map(context.Background(), n,
 		func(_ context.Context, i int) (any, error) {
@@ -92,7 +92,7 @@ func sweep(rn *engine.Runner, n int, cell func(i int) (Config, string)) ([]*Resu
 				return nil, fmt.Errorf("%s: %w", label, err)
 			}
 			return res, nil
-		})
+		}, hint)
 	if err != nil {
 		return nil, err
 	}

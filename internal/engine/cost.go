@@ -16,8 +16,8 @@ package engine
 //     schedules with the first run's measured costs.
 //   - Heuristic hints: experiments supply a relative per-index cost
 //     heuristic (typically message size x partition count, the dominant
-//     terms of a LogGP-style cost model) via Runner.SetCostHint before each
-//     sweep. Cold cells fall back to the hint; when a sweep mixes profiled
+//     terms of a LogGP-style cost model) with each sweep, as a CostHint
+//     option. Cold cells fall back to the hint; when a sweep mixes profiled
 //     and cold cells, hint units are rescaled to observed nanoseconds by
 //     the median profiled-ns/hint ratio so both rank on one axis.
 //

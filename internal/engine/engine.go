@@ -60,7 +60,6 @@ type Runner struct {
 	attempts   map[string]int64
 	experiment string
 	expRuns    map[string]int64
-	costHint   func(index int) float64
 	costWarm   int64
 	costCold   int64
 
@@ -96,6 +95,9 @@ type cacheEntry struct {
 	done chan struct{}
 	val  any
 	err  error
+	// waiters counts the callers that joined the computation instead of
+	// running it; guarded by Runner.mu.
+	waiters int
 }
 
 // Option configures a Runner.
@@ -413,6 +415,7 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn func() (an
 	}
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
+		e.waiters++
 		r.mu.Unlock()
 		var t0 time.Time
 		if r.obs != nil {
@@ -452,6 +455,23 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn func() (an
 	}
 	close(e.done)
 	return e.val, e.err
+}
+
+// Waiters reports how many callers are parked on key's in-flight
+// computation, waiting to share its result; 0 when key is not in flight.
+func (r *Runner) Waiters(key string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.cache[key]
+	if !ok {
+		return 0
+	}
+	select {
+	case <-e.done:
+		return 0
+	default:
+		return e.waiters
+	}
 }
 
 // compute runs one cell through the disk cache, remote executor, fault
@@ -533,7 +553,7 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func(
 // smallest row-major index that failed — deterministic regardless of
 // dispatch order and worker interleaving (the invariant schedule.go
 // documents).
-func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx context.Context, row, col int) (any, error)) ([][]any, error) {
+func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx context.Context, row, col int) (any, error), opts ...SweepOption) ([][]any, error) {
 	cells := make([][]any, nRows)
 	for i := range cells {
 		cells[i] = make([]any, nCols)
@@ -541,7 +561,7 @@ func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx conte
 	flat := func(ctx context.Context, i int) (any, error) {
 		return cell(ctx, i/nCols, i%nCols)
 	}
-	results, err := r.run(ctx, nRows*nCols, flat)
+	results, err := r.run(ctx, nRows*nCols, flat, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -554,8 +574,8 @@ func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx conte
 // Map evaluates fn over n items on the worker pool and returns the results
 // in index order, with the same fail-fast and determinism guarantees as
 // Grid.
-func (r *Runner) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
-	return r.run(ctx, n, fn)
+func (r *Runner) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error), opts ...SweepOption) ([]any, error) {
+	return r.run(ctx, n, fn, opts)
 }
 
 // indexedError carries the dispatch index of a failed cell so "first error
@@ -569,10 +589,13 @@ type indexedError struct {
 	cancel bool
 }
 
-func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
-	// Consume the sweep hint even for empty sweeps, so a hint set for this
-	// sweep can never leak into the next one.
-	hint := r.takeCostHint()
+func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error), opts []SweepOption) ([]any, error) {
+	var hint func(int) float64
+	for _, o := range opts {
+		if o.hint != nil {
+			hint = o.hint
+		}
+	}
 	if n == 0 {
 		return nil, nil
 	}

@@ -101,28 +101,18 @@ func (r *Runner) Policy() Policy { return r.policy }
 // CostModel returns the runner's cost model (nil when none is installed).
 func (r *Runner) CostModel() *CostModel { return r.cost }
 
-// SetCostHint installs fn as the cold-cost heuristic for the runner's next
-// Grid/Map sweep: fn(i) returns the relative predicted cost of task index
-// i in arbitrary units (larger = more expensive; typically message size x
-// partition count). The hint is consumed by the next sweep and applies only
-// to it — like SetExperiment, hints are process-sequential state set by the
-// experiment right before it schedules. Safe on a nil runner.
-func (r *Runner) SetCostHint(fn func(index int) float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.costHint = fn
-	r.mu.Unlock()
+// SweepOption configures one Grid or Map sweep.
+type SweepOption struct {
+	hint func(index int) float64
 }
 
-// takeCostHint consumes the pending sweep hint.
-func (r *Runner) takeCostHint() func(int) float64 {
-	r.mu.Lock()
-	h := r.costHint
-	r.costHint = nil
-	r.mu.Unlock()
-	return h
+// CostHint makes fn the sweep's cold-cost heuristic: fn(i) returns the
+// relative predicted cost of task index i (row-major for Grid) in
+// arbitrary units (larger = more expensive; typically message size x
+// partition count). The hint is an argument of the sweep it describes, so
+// concurrent sweeps on one runner each plan with their own.
+func CostHint(fn func(index int) float64) SweepOption {
+	return SweepOption{hint: fn}
 }
 
 // dispatchPlan is one sweep's dispatch decision.
@@ -143,7 +133,7 @@ func (p dispatchPlan) predicted(i int) float64 {
 }
 
 // plan computes the dispatch plan for an n-task sweep under the runner's
-// policy, cost model, and the sweep's consumed hint. Predictions are
+// policy, cost model, and the sweep's hint. Predictions are
 // computed whenever a model or hint is present — also under InOrder, so
 // predicted-vs-actual accounting and profile warm-up do not depend on the
 // policy — but the permutation is only built for LPT.

@@ -31,7 +31,6 @@ func TestLPTDispatchOrderDescendingCost(t *testing.T) {
 	// One worker serializes dispatch, so the observed call order IS the
 	// dispatch order: descending hint cost, which here means reverse index.
 	rn := New(Workers(1), WithoutCache(), WithSchedule(LPT), WithCostModel(NewCostModel()))
-	rn.SetCostHint(func(i int) float64 { return float64(i + 1) })
 	var mu sync.Mutex
 	var order []int
 	if _, err := rn.Map(context.Background(), 8, func(_ context.Context, i int) (any, error) {
@@ -39,7 +38,7 @@ func TestLPTDispatchOrderDescendingCost(t *testing.T) {
 		order = append(order, i)
 		mu.Unlock()
 		return nil, nil
-	}); err != nil {
+	}, CostHint(func(i int) float64 { return float64(i + 1) })); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{7, 6, 5, 4, 3, 2, 1, 0}
@@ -54,12 +53,11 @@ func TestLPTDispatchOrderDescendingCost(t *testing.T) {
 func TestPolicyWorkersInvariantResults(t *testing.T) {
 	run := func(policy Policy, workers int) ([]any, Stats) {
 		rn := New(Workers(workers), WithSchedule(policy), WithCostModel(NewCostModel()))
-		rn.SetCostHint(func(i int) float64 { return float64(int64(1) << (i % 12)) })
 		res, err := rn.Map(context.Background(), 40, func(_ context.Context, i int) (any, error) {
 			// Keyed through the cache with a shared key per index pair, so
 			// memoization and singleflight are exercised under reordering.
 			return rn.Do(fmt.Sprintf("cell-%d", i/2), func() (any, error) { return (i / 2) * 3, nil })
-		})
+		}, CostHint(func(i int) float64 { return float64(int64(1) << (i % 12)) }))
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", policy, workers, err)
 		}
@@ -88,7 +86,7 @@ func TestLPTReportsSmallestIndexError(t *testing.T) {
 	fail := map[int]bool{5: true, 17: true, 30: true}
 	for trial := 0; trial < 10; trial++ {
 		rn := New(Workers(8), WithoutCache(), WithSchedule(LPT), WithCostModel(NewCostModel()))
-		rn.SetCostHint(func(i int) float64 { return float64(i + 1) }) // big indices first
+		bigFirst := CostHint(func(i int) float64 { return float64(i + 1) })
 		_, err := rn.Map(context.Background(), 32, func(_ context.Context, i int) (any, error) {
 			if fail[i] {
 				if i == 5 {
@@ -98,7 +96,7 @@ func TestLPTReportsSmallestIndexError(t *testing.T) {
 				return nil, fmt.Errorf("cell %d failed", i)
 			}
 			return i, nil
-		})
+		}, bigFirst)
 		if err == nil || err.Error() != "cell 5 failed" {
 			t.Fatalf("trial %d: err = %v, want cell 5 failed", trial, err)
 		}
@@ -110,13 +108,14 @@ func TestScheduleStatsAccounting(t *testing.T) {
 	sweep := func(hinted bool) Stats {
 		rn := New(Workers(2), WithoutCache(), WithSchedule(LPT), WithCostModel(cm))
 		rn.SetExperiment("sched-test")
+		var opts []SweepOption
 		if hinted {
-			rn.SetCostHint(func(i int) float64 { return float64(i + 1) })
+			opts = append(opts, CostHint(func(i int) float64 { return float64(i + 1) }))
 		}
 		if _, err := rn.Map(context.Background(), 6, func(_ context.Context, i int) (any, error) {
 			time.Sleep(time.Millisecond)
 			return nil, nil
-		}); err != nil {
+		}, opts...); err != nil {
 			t.Fatal(err)
 		}
 		return rn.Stats()
@@ -151,31 +150,29 @@ func TestScheduleStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestCostHintConsumedBySweep: a hint applies to exactly one sweep — even an
-// empty one — and never leaks into the next.
+// TestCostHintConsumedBySweep: a hint applies to exactly the sweep it is
+// passed to — even an empty one — and never leaks into the next.
 func TestCostHintConsumedBySweep(t *testing.T) {
+	hint := CostHint(func(i int) float64 { return 100 })
+	nop := func(_ context.Context, i int) (any, error) { return nil, nil }
 	rn := New(Workers(1), WithoutCache())
-	rn.SetCostHint(func(i int) float64 { return 100 })
-	if _, err := rn.Map(context.Background(), 0, nil); err != nil {
+	if _, err := rn.Map(context.Background(), 0, nil, hint); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rn.Map(context.Background(), 3, func(_ context.Context, i int) (any, error) {
-		return nil, nil
-	}); err != nil {
+	if _, err := rn.Map(context.Background(), 3, nop); err != nil {
 		t.Fatal(err)
 	}
 	if got := rn.Stats().PredictedCost; got != 0 {
 		t.Fatalf("hint leaked past the empty sweep: predicted cost %v", got)
 	}
 
-	rn2 := New(Workers(1), WithoutCache())
-	rn2.SetCostHint(func(i int) float64 { return 100 })
-	if _, err := rn2.Map(context.Background(), 3, func(_ context.Context, i int) (any, error) {
-		return nil, nil
-	}); err != nil {
+	if _, err := rn.Map(context.Background(), 3, nop, hint); err != nil {
 		t.Fatal(err)
 	}
-	if got := rn2.Stats().PredictedCost; got != 300*time.Nanosecond {
-		t.Fatalf("hinted sweep predicted %v, want 300ns", got)
+	if _, err := rn.Map(context.Background(), 3, nop); err != nil {
+		t.Fatal(err)
+	}
+	if got := rn.Stats().PredictedCost; got != 300*time.Nanosecond {
+		t.Fatalf("hinted then unhinted sweeps predicted %v, want 300ns", got)
 	}
 }

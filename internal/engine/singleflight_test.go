@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,16 +15,16 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 	rn := New(WithSingleFlight())
 
 	var (
-		arrived  atomic.Int64 // callers that have entered Do
 		computed atomic.Int64
 		wg       sync.WaitGroup
 	)
 	fn := func() (int, error) {
 		computed.Add(1)
-		// Hold the cell open until every caller has arrived: late callers
-		// park on the in-flight entry, so when this returns, all n calls
-		// resolve from this one computation.
-		for arrived.Load() < n {
+		// Hold the cell open until the other n-1 callers have parked on
+		// the in-flight entry, so when this returns, all n calls resolve
+		// from this one computation.
+		for rn.Waiters("cell") < n-1 {
+			runtime.Gosched()
 		}
 		return 42, nil
 	}
@@ -31,7 +32,6 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arrived.Add(1)
 			v, err := DoAs(rn, "cell", fn)
 			if v != 42 || err != nil {
 				t.Errorf("DoAs = %d, %v", v, err)
@@ -97,5 +97,38 @@ func TestSingleFlightWithDiskCache(t *testing.T) {
 	}
 	if st := rn.Stats(); st.Runs != 1 || st.DiskHits != 1 {
 		t.Fatalf("stats = %+v, want 1 run + 1 disk hit", st)
+	}
+}
+
+// TestWaitersCountsParkedCallers: Waiters reports the callers parked on an
+// in-flight computation and drops to 0 once the cell settles.
+func TestWaitersCountsParkedCallers(t *testing.T) {
+	rn := New()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go DoAs(rn, "cell", func() (int, error) {
+		close(started)
+		<-release
+		return 1, nil
+	})
+	<-started
+	if got := rn.Waiters("cell"); got != 0 {
+		t.Fatalf("Waiters before any joiner = %d, want 0", got)
+	}
+	done := make(chan struct{})
+	go func() {
+		DoAs(rn, "cell", func() (int, error) { return 2, nil })
+		close(done)
+	}()
+	for rn.Waiters("cell") != 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	<-done
+	if got := rn.Waiters("cell"); got != 0 {
+		t.Fatalf("Waiters after the cell settled = %d, want 0", got)
+	}
+	if got := rn.Waiters("other"); got != 0 {
+		t.Fatalf("Waiters of an unknown key = %d, want 0", got)
 	}
 }

@@ -199,10 +199,9 @@ func TestLPTSweepReportsSmallestFaultedIndex(t *testing.T) {
 				engine.WithSchedule(engine.LPT),
 				engine.WithCostModel(engine.NewCostModel()),
 			)
-			rn.SetCostHint(func(i int) float64 { return float64(i + 1) })
 			_, err = rn.Map(context.Background(), n, func(_ context.Context, i int) (any, error) {
 				return rn.Do(key(i), func() (any, error) { return i, nil })
-			})
+			}, engine.CostHint(func(i int) float64 { return float64(i + 1) }))
 			if err == nil || !strings.Contains(err.Error(), "(cell "+key(want)+",") {
 				t.Fatalf("workers=%d trial %d: err = %v, want the fault at %s", workers, trial, err, key(want))
 			}

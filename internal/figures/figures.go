@@ -145,14 +145,14 @@ func (e Env) metricSpec() *platform.Spec {
 // grid evaluates cell over the rows x cols grid on the runner's worker
 // pool. hint is the per-cell relative cost heuristic handed to the
 // engine's scheduler for cold cells (nil = unhinted; see
-// engine.Runner.SetCostHint).
+// engine.CostHint).
 func (e Env) grid(rows, cols int, hint func(r, c int) float64, cell func(r, c int) (any, error)) ([][]any, error) {
-	rn := e.runner()
+	var opts []engine.SweepOption
 	if hint != nil {
-		rn.SetCostHint(func(i int) float64 { return hint(i/cols, i%cols) })
+		opts = append(opts, engine.CostHint(func(i int) float64 { return hint(i/cols, i%cols) }))
 	}
-	return rn.Grid(context.Background(), rows, cols,
-		func(ctx context.Context, r, c int) (any, error) { return cell(r, c) })
+	return e.runner().Grid(context.Background(), rows, cols,
+		func(ctx context.Context, r, c int) (any, error) { return cell(r, c) }, opts...)
 }
 
 // metricCfg builds the shared point-to-point benchmark configuration.

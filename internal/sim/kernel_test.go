@@ -107,8 +107,8 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 	}
 }
 
-// Direct handoff between two procs must produce the same timeline as the
-// scheduler-mediated slow path (RunPaced at enormous scale disables it).
+// The self-wake fast path must produce the same timeline as the slow path
+// through the drive loop (RunPaced at enormous scale disables it).
 func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	build := func() (*Scheduler, *[]string) {
 		s := New()

@@ -522,8 +522,8 @@ func (g *ShardGroup) runShardWindow(w, sid int) {
 	// Every event ever created is pushed onto the queue exactly once, and
 	// every pop dispatches, so the events processed this window are the
 	// starting queue length plus the events created (seq delta) minus what
-	// is still queued. Counting here keeps the dispatch hot path (and its
-	// handoff fast path) untouched.
+	// is still queued. Counting here keeps the dispatch hot path (and the
+	// self-wake fast path) untouched.
 	g.winEvents[sid] = int64(q0) + int64(s.seq-seq0) - int64(len(s.queue))
 	slices.SortFunc(s.outbox, func(a, b crossEvent) int {
 		if a.at != b.at {
@@ -762,7 +762,7 @@ func (g *ShardGroup) RunPaced(scale float64) error {
 // scheduler terminally run — the queue legitimately drains between windows.
 func (s *Scheduler) runWindow(limit Time) {
 	s.windowing = true
-	s.startDrive(limit, true)
+	s.startDrive(limit)
 	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		s.dispatch(s.queue.pop())
 	}

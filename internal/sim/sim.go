@@ -1,12 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel with
 // cooperative actors ("procs").
 //
-// Each proc is backed by a goroutine, but the scheduler guarantees that at
-// most one proc executes at any instant: control is handed to a proc via an
-// unbuffered channel and handed back when the proc blocks (Sleep, mutex wait,
-// condition wait, ...). All simulator state is therefore mutated only by the
-// current token holder and needs no locking. Events with equal timestamps
-// fire in the order they were scheduled, so runs are bitwise reproducible.
+// Each proc is a pull coroutine (iter.Pull) resumed by its scheduler's drive
+// loop: the loop switches into a proc when its wake event fires, and the
+// proc switches back when it blocks (Sleep, mutex wait, condition wait, ...)
+// or returns. At most one proc or event callback of a scheduler executes at
+// any instant, so simulator state needs no locking. Events with equal
+// timestamps fire in the order they were scheduled, so runs are bitwise
+// reproducible.
 //
 // The kernel exposes virtual time (Time, Duration in nanoseconds) and a small
 // set of synchronization primitives (Mutex, Cond, WaitGroup, Barrier,
@@ -140,8 +141,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // event is a scheduled callback (fn != nil) or a proc wake (proc != nil).
-// Proc wakes carry no closure at all: the run loop and the direct-handoff
-// fast path resume the proc from its fields, so scheduling a wake never
+// Proc wakes carry no closure at all: the run loop and the self-wake fast
+// path resume the proc from its fields, so scheduling a wake never
 // allocates. Events are recycled through the scheduler's freelist.
 type event struct {
 	at Time
@@ -251,24 +252,16 @@ type Scheduler struct {
 	// are only formatted when a DeadlockError is built.
 	procs []*Proc
 
-	// token handoff: the scheduler sends on p.resume to run a proc and
-	// receives on parked when the proc blocks or finishes.
-	parked chan struct{}
-
 	// driving is set while a drive loop (Run, RunPaced, RunUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
 	driving bool
 	// running becomes true once a drive has fully drained the queue; it is
 	// terminal — no further drives are allowed.
 	running bool
-	// handoff enables the direct proc-to-proc token handoff: when a parking
-	// proc finds a proc wake at the head of the queue (at or before limit),
-	// it advances the clock and resumes that proc itself — or simply keeps
-	// running on a self-wake — instead of bouncing the token through the
-	// scheduler goroutine's resume/parked channel pair. RunPaced disables
-	// it so the pacing loop sees every event.
-	handoff bool
-	limit   Time
+	// limit is the latest time park's self-wake fast path may advance the
+	// clock to: the drive limit, or -1 under RunPaced, whose pacing loop
+	// must see every event.
+	limit Time
 
 	// Sharding state (see shard.go). group is nil for standalone schedulers
 	// and for the single shard of a one-shard group, so the sequential fast
@@ -288,7 +281,7 @@ type Scheduler struct {
 
 // New returns an empty simulation scheduler with the clock at zero.
 func New() *Scheduler {
-	return &Scheduler{parked: make(chan struct{})}
+	return &Scheduler{}
 }
 
 // Now returns the current virtual time.
@@ -364,12 +357,16 @@ const (
 // Proc is a cooperative actor. Every blocking method must be called by the
 // proc itself (i.e. from within the function passed to Spawn).
 type Proc struct {
-	s      *Scheduler
-	name   string
-	id     int
-	idx    int // position in s.procs, for swap-removal on death
-	resume chan struct{}
-	dead   bool
+	s    *Scheduler
+	name string
+	id   int
+	idx  int // position in s.procs, for swap-removal on death
+	// next switches into the proc's coroutine and returns when the proc
+	// parks (ok) or its body returns (!ok); yield, called from inside the
+	// body, switches back. Both are dropped when the proc finishes.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	dead  bool
 	// wakeScheduled guards against double-wake: a proc may be the target of
 	// at most one pending wake event.
 	wakeScheduled bool
@@ -417,23 +414,10 @@ func (p *Proc) Scheduler() *Scheduler { return p.s }
 // virtual time.
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{
-		s:      s,
-		name:   name,
-		id:     s.procSeq,
-		idx:    len(s.procs),
-		resume: make(chan struct{}),
-	}
+	p := &Proc{s: s, name: name, id: s.procSeq, idx: len(s.procs)}
 	s.procs = append(s.procs, p)
 	s.live++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		s.live--
-		s.dropProc(p)
-		s.parked <- struct{}{}
-	}()
+	p.start(fn)
 	s.wake(p)
 	return p
 }
@@ -467,60 +451,44 @@ func (s *Scheduler) wakeAt(t Time, p *Proc) {
 	s.queue.push(s.newEvent(t, nil, p))
 }
 
-// resumeProc hands the token to p from the scheduler loop and waits for it
-// to park, finish, or hand the token onward.
+// resumeProc switches to p from the drive loop and returns when p parks or
+// finishes. A panic inside p unwinds out of next, and so out of the drive.
 func (s *Scheduler) resumeProc(p *Proc) {
 	if p.dead {
 		return
 	}
 	p.wakeScheduled = false
 	p.parkKind = parkNone
-	p.resume <- struct{}{}
-	<-s.parked
+	if _, ok := p.next(); !ok {
+		p.dead = true
+		p.next, p.yield = nil, nil
+		s.live--
+		s.dropProc(p)
+	}
 }
 
 // park blocks the calling proc until something wakes it. The kind and args
 // form the lazy reason shown in deadlock diagnostics.
 //
-// Fast path (direct handoff): while handoff is enabled and the head of the
-// queue is a proc wake at or before the drive limit, the parking proc plays
-// scheduler itself — it advances the clock and either keeps running (the
-// wake is its own: a sleep expiring with nothing scheduled before it) or
-// passes the token straight to the woken proc. Either way the
-// resume/parked channel round-trip through the scheduler goroutine is
-// skipped; the scheduler loop only regains control when a non-wake event
-// or the drive limit is next.
+// Fast path (self-wake): when the head of the queue is p's own wake at or
+// before the fast-path limit — a sleep expiring with nothing scheduled
+// before it — p advances the clock and keeps running without a coroutine
+// switch. Otherwise it switches back to the drive loop, which fires events
+// in queue order until one resumes p.
 func (p *Proc) park(kind parkKind, a, b int64) {
 	s := p.s
 	p.parkKind, p.parkA, p.parkB = kind, a, b
-	for s.handoff {
-		if len(s.queue) == 0 {
-			break
+	if len(s.queue) > 0 {
+		if top := s.queue[0]; top.proc == p && top.at <= s.limit {
+			s.queue.pop()
+			s.now = top.at
+			s.recycle(top)
+			p.wakeScheduled = false
+			p.parkKind = parkNone
+			return
 		}
-		top := s.queue[0]
-		if top.proc == nil || top.at > s.limit {
-			break
-		}
-		q := top.proc
-		s.queue.pop()
-		s.now = top.at
-		s.recycle(top)
-		if q.dead {
-			continue
-		}
-		q.wakeScheduled = false
-		q.parkKind = parkNone
-		if q == p {
-			return // self-wake: keep running, zero channel operations
-		}
-		// Hand the token directly to q, then wait for our own wake. No
-		// scheduler state may be touched after the send: q runs now.
-		q.resume <- struct{}{}
-		<-p.resume
-		return
 	}
-	s.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Sleep suspends the calling proc for d of virtual time. Zero is allowed and
@@ -541,8 +509,9 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // startDrive begins a drive loop, enforcing the re-entrancy contract: a
 // drive may not start while another is on the stack (an event callback
-// calling Run) or after a previous drive has drained the queue.
-func (s *Scheduler) startDrive(limit Time, handoff bool) {
+// calling Run) or after a previous drive has drained the queue. limit
+// bounds park's self-wake fast path.
+func (s *Scheduler) startDrive(limit Time) {
 	if s.group != nil && !s.windowing {
 		panic("sim: scheduler belongs to a multi-shard group; drive it with ShardGroup.Run")
 	}
@@ -553,14 +522,12 @@ func (s *Scheduler) startDrive(limit Time, handoff bool) {
 		panic("sim: Run called twice")
 	}
 	s.driving = true
-	s.handoff = handoff
 	s.limit = limit
 }
 
 // endDrive finishes a drive loop; drained drives are terminal.
 func (s *Scheduler) endDrive(drained bool) {
 	s.driving = false
-	s.handoff = false
 	if drained {
 		s.running = true
 	}
@@ -606,7 +573,7 @@ func (s *Scheduler) deadlock() error {
 // that it may follow partial RunUntil drives to finish the simulation;
 // calling it from within an event callback panics.
 func (s *Scheduler) Run() error {
-	s.startDrive(maxTime, true)
+	s.startDrive(maxTime)
 	for len(s.queue) > 0 {
 		s.dispatch(s.queue.pop())
 	}
@@ -618,13 +585,13 @@ func (s *Scheduler) Run() error {
 // the wall clock: one second of virtual time takes 1/scale wall seconds
 // (scale 2 runs twice as fast as real time). Useful for watching timelines
 // live in demos; measurement results are identical to Run since virtual
-// timestamps do not depend on pacing. Direct handoff is disabled so the
-// pacing loop observes every event.
+// timestamps do not depend on pacing. The self-wake fast path is disabled
+// so the pacing loop observes every event.
 func (s *Scheduler) RunPaced(scale float64) error {
 	if scale <= 0 {
 		panic("sim: pacing scale must be positive")
 	}
-	s.startDrive(maxTime, false)
+	s.startDrive(-1)
 	wallStart := timeNowUnixNano()
 	simStart := s.now
 	for len(s.queue) > 0 {
@@ -648,7 +615,7 @@ func (s *Scheduler) RunPaced(scale float64) error {
 // once any drive has drained the queue, all further drives panic, as does
 // re-entering a drive from an event callback.
 func (s *Scheduler) RunUntil(t Time) bool {
-	s.startDrive(t, true)
+	s.startDrive(t)
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.dispatch(s.queue.pop())
 	}

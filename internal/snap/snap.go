@@ -160,7 +160,7 @@ func ProfileScaling(rn *engine.Runner, cfg Config, nodeCounts []int) ([]ProfileP
 	r := engine.OrDefault(rn)
 	// Cold-cost heuristic for LPT dispatch: profile cost grows with the
 	// node count (more ranks to simulate).
-	r.SetCostHint(func(i int) float64 { return float64(nodeCounts[i]) })
+	hint := engine.CostHint(func(i int) float64 { return float64(nodeCounts[i]) })
 	vals, err := r.Map(context.Background(), len(nodeCounts), func(ctx context.Context, i int) (any, error) {
 		n := nodeCounts[i]
 		key, kerr := engine.Key("snap.Profile", cfg, n)
@@ -180,7 +180,7 @@ func ProfileScaling(rn *engine.Runner, cfg Config, nodeCounts []int) ([]ProfileP
 			return nil, fmt.Errorf("snap: %d nodes: %w", n, err)
 		}
 		return v, nil
-	})
+	}, hint)
 	if err != nil {
 		return nil, err
 	}
